@@ -232,7 +232,6 @@ const EQUIVOCATOR_FORGED_WRITER: WriterId = WriterId(8888);
 fn audit_transport() -> TransportConfig {
     TransportConfig {
         connect_timeout: Duration::from_millis(250),
-        op_deadline: Duration::from_secs(3),
         io_timeout: Duration::from_millis(50),
         retry_budget: 1,
         backoff: BackoffPolicy {
@@ -473,7 +472,6 @@ pub fn audit_run(cfg: &AuditConfig) -> AuditReport {
         drop_permille: 20,
         delay_permille: 20,
         delay_micros: (50, 500),
-        classes: None,
     };
     let chaos_cluster = TcpKvCluster::builder(KvMode::Replicated, b"audit-chaos")
         .quorum(q)

@@ -413,7 +413,7 @@ fn chaos() {
         format!("{}/{}", r.ops_completed, r.ops_attempted),
         r.reconnects.to_string(),
         r.breaker_transitions.to_string(),
-        r.op_retries.to_string(),
+        r.unreachable.to_string(),
         r.faults_injected.to_string(),
         yes_no(r.safe && r.order_violations == 0),
         yes_no(r.schedule_reproducible),
@@ -426,7 +426,7 @@ fn chaos() {
                 "ops",
                 "reconnects",
                 "breaker flips",
-                "op retries",
+                "unreachable",
                 "faults",
                 "safe",
                 "seed-stable"

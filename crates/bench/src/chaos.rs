@@ -1,13 +1,13 @@
 //! Self-healing chaos scenario: the real TCP stack under a seeded
 //! adversary.
 //!
-//! A loopback register cluster is wrapped in
+//! A loopback register cluster (a one-key KV store) is wrapped in
 //! [`safereg_transport::chaos::ChaosNet`] proxies driven by a seeded
 //! [`FaultPlan`] (frames dropped, delayed, corrupted, truncated,
 //! connections killed), while the run also severs and blackholes up to
-//! `f` servers mid-workload. The client's link supervisors, retry slices
-//! and circuit breakers must mask all of it: every operation completes,
-//! the recorded history passes the checker's safety predicates, and the
+//! `f` servers mid-workload. The clients' reconnects, retry passes and
+//! circuit breakers must mask all of it: every operation completes, the
+//! recorded history passes the checker's safety predicates, and the
 //! metrics dump shows the healing actually happened (nonzero reconnects
 //! and breaker transitions). The same seed always yields the same fault
 //! schedule — asserted via [`FaultPlan::fingerprint`].
@@ -15,15 +15,16 @@
 use safereg_checker::CheckSummary;
 use safereg_common::config::{QuorumConfig, TransportConfig};
 use safereg_common::history::History;
-use safereg_common::ids::{ReaderId, ServerId, WriterId};
+use safereg_common::ids::{ClientId, ReaderId, ServerId, WriterId};
+use safereg_common::msg::OpId;
 use safereg_common::value::Value;
-use safereg_core::client::{BsrReader, BsrWriter};
-use safereg_core::op::ClientOp;
+use safereg_kv::{KvClient, KvMode, TcpKvCluster, TcpKvTransport};
 use safereg_obs::names;
 use safereg_obs::trace::wall_micros;
 use safereg_transport::chaos::{ChaosNet, Direction, FaultPlan, FaultSpec};
-use safereg_transport::client::ClusterClient;
-use safereg_transport::cluster::LocalCluster;
+
+/// The one key the register lives under.
+const REGISTER: &[u8] = b"register";
 
 /// Outcome of one seeded chaos run.
 #[derive(Debug, Clone)]
@@ -34,12 +35,13 @@ pub struct ChaosReport {
     pub ops_attempted: usize,
     /// Operations that completed (possibly after client-level retries).
     pub ops_completed: usize,
-    /// Link reconnections performed by the supervisors during the run.
+    /// Lazy link reconnections the client transports performed.
     pub reconnects: u64,
     /// Circuit-breaker state changes during the run.
     pub breaker_transitions: u64,
-    /// In-operation envelope resends during the run.
-    pub op_retries: u64,
+    /// Exchanges that found their server unreachable; each one puts the
+    /// envelope into the operation's next retry pass.
+    pub unreachable: u64,
     /// Frames the proxies forwarded untouched.
     pub frames_forwarded: u64,
     /// Frames the proxies faulted (dropped/delayed/corrupted/truncated)
@@ -86,39 +88,31 @@ fn chaos_fault_total() -> u64 {
 ///
 /// # Panics
 ///
-/// Panics when the cluster cannot be started or a client cannot connect —
+/// Panics when the cluster or its proxies cannot be started —
 /// environment failures, not scenario outcomes.
 pub fn chaos_run(seed: u64) -> ChaosReport {
     let reg = safereg_obs::global();
-    let reconnects_before = reg.counter(names::TRANSPORT_RECONNECTS).get();
-    let transitions_before = reg.counter(names::TRANSPORT_BREAKER_TRANSITIONS).get();
-    let retries_before = reg.counter(names::TRANSPORT_OP_RETRIES).get();
+    let reconnects_before = reg.counter(names::KV_RECONNECTS).get();
+    let transitions_before = reg.counter(names::KV_BREAKER_TRANSITIONS).get();
+    let unreachable_before = reg.counter(names::KV_EXCHANGE_UNREACHABLE).get();
     let forwarded_before = reg.counter(names::CHAOS_FORWARDED).get();
     let faults_before = chaos_fault_total();
 
     let cfg = QuorumConfig::minimal_bsr(1).expect("n = 5, f = 1 is valid");
-    let cluster = LocalCluster::start(cfg, b"chaos-bench").expect("start cluster");
+    let cluster = TcpKvCluster::builder(KvMode::Replicated, b"chaos-bench")
+        .quorum(cfg)
+        .start()
+        .expect("start cluster");
     let plan = FaultPlan::new(seed, FaultSpec::mild());
     let net = ChaosNet::wrap(&cluster.addrs(), &plan).expect("start chaos proxies");
 
     let config = TransportConfig::aggressive();
-    let mut wc = ClusterClient::connect_with(
-        WriterId(0).into(),
-        &net.addrs(),
-        cluster.chain().clone(),
-        config,
-    )
-    .expect("writer connects through proxies");
-    let mut rc = ClusterClient::connect_with(
-        ReaderId(0).into(),
-        &net.addrs(),
-        cluster.chain().clone(),
-        config,
-    )
-    .expect("reader connects through proxies");
-
-    let mut writer = BsrWriter::new(WriterId(0), cfg);
-    let mut reader = BsrReader::new(ReaderId(0), cfg);
+    let mut wt = TcpKvTransport::connect_with(&net.addrs(), cluster.chain().clone(), config);
+    let mut rt = TcpKvTransport::connect_with(&net.addrs(), cluster.chain().clone(), config);
+    let mut writer = KvClient::new(cfg, WriterId(0), ReaderId(0));
+    let mut reader = KvClient::new(cfg, WriterId(1), ReaderId(1));
+    writer.set_policy(config);
+    reader.set_policy(config);
     let mut history = History::new();
 
     let rounds = 12usize;
@@ -126,57 +120,36 @@ pub fn chaos_run(seed: u64) -> ChaosReport {
     let mut completed = 0usize;
     for i in 0..rounds {
         // Fault timeline, never more than f = 1 server down at once:
-        // round 2 severs s1 (live connections die, supervisors reconnect);
+        // round 2 severs s1 (live connections die, transports reconnect);
         // round 4 blackholes s2 (breakers trip Open); round 8 restores it.
         match i {
             2 => net.sever(ServerId(1)),
-            4 => {
-                net.set_blackhole(ServerId(2), true);
-                // Give the supervisors a couple of failed sessions so the
-                // breaker actually trips before the workload moves on.
-                std::thread::sleep(std::time::Duration::from_millis(300));
-            }
+            4 => net.set_blackhole(ServerId(2), true),
             8 => net.set_blackhole(ServerId(2), false),
             _ => {}
         }
+        let seq = i as u64 + 1;
 
         attempted += 1;
         let value = Value::from(format!("chaos-{seed}-{i}").into_bytes());
-        let mut op = writer.write(value.clone());
-        let h = history.begin_write(op.op_id(), value.clone(), wall_micros());
-        let mut done = false;
+        let op = OpId::new(ClientId::Writer(WriterId(0)), seq);
+        let h = history.begin_write(op, value.clone(), wall_micros());
         for _ in 0..3 {
-            match wc.run_op(&mut op) {
-                Ok(out) => {
-                    history.complete_write(h, out.tag(), wall_micros());
-                    done = true;
-                    break;
-                }
-                Err(e) if e.is_retriable() => {
-                    op = writer.write(value.clone());
-                }
-                Err(_) => break,
+            if let Ok(tag) = writer.put(&mut wt, REGISTER, value.clone()) {
+                history.complete_write(h, tag, wall_micros());
+                completed += 1;
+                break;
             }
-        }
-        if done {
-            completed += 1;
         }
 
         attempted += 1;
-        let mut op = reader.read();
-        let h = history.begin_read(op.op_id(), wall_micros());
+        let op = OpId::new(ClientId::Reader(ReaderId(1)), seq);
+        let h = history.begin_read(op, wall_micros());
         for _ in 0..3 {
-            match rc.run_op(&mut op) {
-                Ok(out) => {
-                    let value = out.read_value().expect("read yields a value").clone();
-                    history.complete_read(h, value, out.tag(), wall_micros());
-                    completed += 1;
-                    break;
-                }
-                Err(e) if e.is_retriable() => {
-                    op = reader.read();
-                }
-                Err(_) => break,
+            if let Ok((value, tag)) = reader.get_with_tag(&mut rt, REGISTER) {
+                history.complete_read(h, value, tag, wall_micros());
+                completed += 1;
+                break;
             }
         }
     }
@@ -194,10 +167,9 @@ pub fn chaos_run(seed: u64) -> ChaosReport {
         seed,
         ops_attempted: attempted,
         ops_completed: completed,
-        reconnects: reg.counter(names::TRANSPORT_RECONNECTS).get() - reconnects_before,
-        breaker_transitions: reg.counter(names::TRANSPORT_BREAKER_TRANSITIONS).get()
-            - transitions_before,
-        op_retries: reg.counter(names::TRANSPORT_OP_RETRIES).get() - retries_before,
+        reconnects: reg.counter(names::KV_RECONNECTS).get() - reconnects_before,
+        breaker_transitions: reg.counter(names::KV_BREAKER_TRANSITIONS).get() - transitions_before,
+        unreachable: reg.counter(names::KV_EXCHANGE_UNREACHABLE).get() - unreachable_before,
         frames_forwarded: reg.counter(names::CHAOS_FORWARDED).get() - forwarded_before,
         faults_injected: chaos_fault_total() - faults_before,
         safe: summary.is_safe(),

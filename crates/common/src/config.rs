@@ -205,9 +205,8 @@ impl fmt::Display for QuorumConfig {
     }
 }
 
-/// Exponential backoff with bounded jitter, shared by every reconnecting
-/// network layer (the register transport's link supervisors and the KV
-/// transport's lazy reconnects).
+/// Exponential backoff with bounded jitter for the KV transport's lazy
+/// reconnects and the client's retry passes.
 ///
 /// The delay for attempt `a` is `base · 2^a`, capped at `cap`, with up to
 /// `jitter_permille`/1000 of that value added or subtracted depending on a
@@ -312,12 +311,11 @@ impl ServerRuntime {
 pub struct TransportConfig {
     /// TCP connect timeout per attempt.
     pub connect_timeout: Duration,
-    /// End-to-end deadline for one client operation (all retries included).
-    pub op_deadline: Duration,
     /// Per-exchange socket read/write timeout (KV request/response path).
     pub io_timeout: Duration,
-    /// How many times an operation's outstanding envelopes are resent
-    /// within the deadline before giving up (0 = single shot).
+    /// How many extra passes an operation makes over the servers that were
+    /// unreachable or answered nothing in the previous pass before giving
+    /// up (0 = single shot).
     pub retry_budget: u32,
     /// Reconnect pacing.
     pub backoff: BackoffPolicy,
@@ -362,7 +360,6 @@ impl Default for TransportConfig {
     fn default() -> Self {
         TransportConfig {
             connect_timeout: Duration::from_secs(5),
-            op_deadline: Duration::from_secs(10),
             io_timeout: Duration::from_secs(5),
             retry_budget: 2,
             backoff: BackoffPolicy::default(),
@@ -386,7 +383,6 @@ impl TransportConfig {
     pub fn aggressive() -> Self {
         TransportConfig {
             connect_timeout: Duration::from_millis(250),
-            op_deadline: Duration::from_secs(5),
             io_timeout: Duration::from_millis(500),
             retry_budget: 4,
             backoff: BackoffPolicy {
@@ -545,7 +541,6 @@ mod tests {
     fn transport_defaults_match_previous_hardcoded_timeouts() {
         let cfg = TransportConfig::default();
         assert_eq!(cfg.connect_timeout, Duration::from_secs(5));
-        assert_eq!(cfg.op_deadline, Duration::from_secs(10));
         assert!(cfg.retry_budget > 0);
         let fast = TransportConfig::aggressive();
         assert!(fast.connect_timeout < cfg.connect_timeout);

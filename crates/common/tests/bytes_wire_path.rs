@@ -7,6 +7,8 @@
 //! DetRng-driven in the PR 1 style: fixed seeds, fixed case counts, failures
 //! reproducible from the case index.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use safereg_common::buf::Bytes;
 use safereg_common::codec::{payload_bytes_copied, Wire, WireError, WireReader};
 use safereg_common::ids::{ClientId, ReaderId, ServerId, WriterId};
@@ -17,6 +19,15 @@ use safereg_common::msg::{
 use safereg_common::rng::DetRng;
 use safereg_common::tag::Tag;
 use safereg_common::value::Value;
+
+/// `payload_bytes_copied()` is a process-global odometer: the copying
+/// decode in one test bumps it while another asserts it stands still, so
+/// both hold this lock.
+static COPY_ODOMETER: Mutex<()> = Mutex::new(());
+
+fn odometer() -> MutexGuard<'static, ()> {
+    COPY_ODOMETER.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn copying_decode<T: Wire>(buf: &[u8]) -> Result<T, WireError> {
     let mut r = WireReader::new(buf);
@@ -142,6 +153,7 @@ fn span(b: &Bytes) -> (usize, usize) {
 
 #[test]
 fn borrowing_decode_matches_copying_decode_for_every_variant() {
+    let _odometer = odometer();
     let mut rng = DetRng::seed_from(0x000B_0220_5EED);
     for case in 0..128u32 {
         for env in envelope_zoo(&mut rng) {
@@ -180,6 +192,7 @@ fn encode_parts_concats_to_the_full_encoding_for_every_variant() {
 
 #[test]
 fn borrowed_payloads_alias_the_frame_and_copy_nothing() {
+    let _odometer = odometer();
     let mut rng = DetRng::seed_from(0x0C0F_FEE0);
     for case in 0..64u32 {
         for env in envelope_zoo(&mut rng) {

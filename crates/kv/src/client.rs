@@ -751,6 +751,7 @@ mod tests {
 
     #[test]
     fn put_get_roundtrip() {
+        let _counters = crate::test_counters::shared();
         let (mut cluster, mut client) = setup();
         client.put(&mut cluster, b"user:1", "alice").unwrap();
         assert_eq!(
@@ -762,6 +763,7 @@ mod tests {
 
     #[test]
     fn keys_are_independent() {
+        let _counters = crate::test_counters::shared();
         let (mut cluster, mut client) = setup();
         client.put(&mut cluster, b"a", "1").unwrap();
         client.put(&mut cluster, b"b", "2").unwrap();
@@ -772,6 +774,7 @@ mod tests {
 
     #[test]
     fn tags_grow_per_key() {
+        let _counters = crate::test_counters::shared();
         let (mut cluster, mut client) = setup();
         let t1 = client.put(&mut cluster, b"k", "x").unwrap();
         let t2 = client.put(&mut cluster, b"k", "y").unwrap();
@@ -782,6 +785,7 @@ mod tests {
 
     #[test]
     fn survives_f_crashes_but_not_more() {
+        let _counters = crate::test_counters::shared();
         let (mut cluster, mut client) = setup();
         client.put(&mut cluster, b"k", "v").unwrap();
         cluster.crash(ServerId(0));
@@ -794,6 +798,7 @@ mod tests {
 
     #[test]
     fn two_clients_see_each_others_writes() {
+        let _counters = crate::test_counters::shared();
         let (mut cluster, mut alice) = setup();
         let cfg = QuorumConfig::minimal_bsr(1).unwrap();
         let mut bob = KvClient::new(cfg, WriterId(1), ReaderId(1));
@@ -811,6 +816,7 @@ mod tests {
 
     #[test]
     fn sharded_roundtrip_spreads_keys() {
+        let _counters = crate::test_counters::shared();
         let cfg = QuorumConfig::minimal_bsr(1).unwrap();
         let fleet: Vec<ServerId> = (0..8).map(ServerId).collect();
         let map = ShardMap::new(42, 4, fleet, cfg).unwrap();
@@ -837,6 +843,7 @@ mod tests {
 
     #[test]
     fn sharded_ops_count_per_shard() {
+        let _counters = crate::test_counters::exclusive();
         let cfg = QuorumConfig::minimal_bsr(1).unwrap();
         let fleet: Vec<ServerId> = (0..5).map(ServerId).collect();
         let map = ShardMap::new(9, 2, fleet, cfg).unwrap();

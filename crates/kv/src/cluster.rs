@@ -126,6 +126,7 @@ mod tests {
 
     #[test]
     fn crash_and_recover() {
+        let _counters = crate::test_counters::shared();
         let cfg = QuorumConfig::minimal_bsr(1).unwrap();
         let mut cluster = InMemKvCluster::new(cfg);
         let mut client = KvClient::new(cfg, WriterId(0), ReaderId(0));
@@ -144,6 +145,7 @@ mod tests {
 
     #[test]
     fn storage_grows_with_keys() {
+        let _counters = crate::test_counters::shared();
         let cfg = QuorumConfig::minimal_bsr(1).unwrap();
         let mut cluster = InMemKvCluster::new(cfg);
         let mut client = KvClient::new(cfg, WriterId(0), ReaderId(0));
@@ -160,6 +162,7 @@ mod tests {
 
     #[test]
     fn sharded_cluster_tolerates_f_crashes_per_shard() {
+        let _counters = crate::test_counters::shared();
         let cfg = QuorumConfig::minimal_bsr(1).unwrap();
         let fleet: Vec<ServerId> = (0..7).map(ServerId).collect();
         let map = ShardMap::new(3, 4, fleet, cfg).unwrap();
@@ -185,6 +188,7 @@ mod coded_tests {
 
     #[test]
     fn coded_kv_roundtrip_and_savings() {
+        let _counters = crate::test_counters::shared();
         let cfg = QuorumConfig::new(8, 1).unwrap(); // k = 3: real coding
         let mut coded = InMemKvCluster::new_coded(cfg);
         let mut client = KvClient::new_coded(cfg, WriterId(0), ReaderId(0));
@@ -210,6 +214,7 @@ mod coded_tests {
 
     #[test]
     fn coded_kv_survives_f_crashes() {
+        let _counters = crate::test_counters::shared();
         let cfg = QuorumConfig::minimal_bcsr(1).unwrap();
         let mut cluster = InMemKvCluster::new_coded(cfg);
         let mut client = KvClient::new_coded(cfg, WriterId(0), ReaderId(0));

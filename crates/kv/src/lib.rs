@@ -38,3 +38,23 @@ pub use tcp::{
     encode_request, fetch_metrics, ClusterBuilder, KvHostBuilder, KvHostOptions, KvServerHost,
     TcpKvCluster, TcpKvTransport, METRICS_KEY,
 };
+
+/// Orders the unit tests around the process-global `kv.shard.g*` counters:
+/// every test that drives KV operations bumps them, so a test asserting an
+/// exact delta holds the lock exclusively while the others share it.
+#[cfg(test)]
+pub(crate) mod test_counters {
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    static COUNTERS: RwLock<()> = RwLock::new(());
+
+    /// Held by a test that bumps the shared counters.
+    pub(crate) fn shared() -> RwLockReadGuard<'static, ()> {
+        COUNTERS.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Held by a test that asserts an exact delta of the shared counters.
+    pub(crate) fn exclusive() -> RwLockWriteGuard<'static, ()> {
+        COUNTERS.write().unwrap_or_else(PoisonError::into_inner)
+    }
+}

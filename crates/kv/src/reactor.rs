@@ -49,6 +49,7 @@ mod imp {
     use safereg_crypto::keychain::KeyChain;
     use safereg_obs::names;
     use safereg_transport::poll::{Interest, PollBackend, PollEvent, Poller, Waker};
+    use safereg_transport::MAX_FRAME;
 
     use crate::server::KvServer;
     use crate::tcp::{count_eviction, process_sealed_frame, FrameDisposition, SealedKv};
@@ -63,10 +64,6 @@ mod imp {
     /// connection's buffer, so the scratch is shared by every connection
     /// of the reactor.
     const SCRATCH: usize = 64 * 1024;
-
-    /// Hard cap on a single inbound frame, matching the threaded path's
-    /// `read_frame` guard.
-    const MAX_FRAME: usize = 64 << 20;
 
     struct Slot {
         inbox: Mutex<VecDeque<TcpStream>>,
@@ -331,7 +328,7 @@ mod imp {
             }
             let len = u32::from_le_bytes(conn.rbuf[off..off + 4].try_into().unwrap()) as usize;
             if len > MAX_FRAME {
-                close = true; // oversized frame: hard close, like read_frame
+                close = true; // oversized frame: hard close, like `read_frame`
                 break;
             }
             if avail - 4 < len {

@@ -1,7 +1,8 @@
 //! TCP deployment of the key-value store.
 //!
-//! Frames carry `(key, envelope)` pairs, MAC-authenticated under the same
-//! pairwise link keys the register transport uses. Each request yields at
+//! This is the one TCP stack: a bare register is a one-key KV store. Frames
+//! carry `(key, envelope)` pairs, MAC-authenticated under pairwise link
+//! keys and framed by [`safereg_transport::frame`]. Each request yields at
 //! most one response frame on the same connection (the per-key register
 //! protocol is strict request/response at the server), so the transport is
 //! a simple synchronous exchange — the quorum logic above it supplies the
@@ -23,7 +24,7 @@
 use std::collections::BTreeMap;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -50,7 +51,7 @@ use safereg_obs::span::{self, SpanKind};
 use safereg_obs::trace::{wall_micros, MsgClass};
 use safereg_transport::chaos::{ChaosProxy, FaultPlan};
 use safereg_transport::poll::PollBackend;
-use safereg_transport::write_all_vectored;
+use safereg_transport::{read_frame, write_all_vectored, FrameError};
 
 use safereg_mds::rs::ReedSolomon;
 use safereg_mds::stripe::encode_value;
@@ -169,19 +170,11 @@ impl SealedKv {
     pub(crate) fn payload_len(&self) -> usize {
         self.head.len() + self.tail.len() + self.mac.len()
     }
-
-    fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
-        use std::io::Write;
-        stream.write_all(&(self.payload_len() as u32).to_le_bytes())?;
-        stream.write_all(&self.head)?;
-        stream.write_all(self.tail.as_ref())?;
-        stream.write_all(&self.mac)?;
-        stream.flush()
-    }
 }
 
-/// Flushes a batch of sealed replies with one vectored write: four iovecs
+/// Flushes a batch of sealed frames with one vectored write: four iovecs
 /// per frame (length prefix, head, zero-copy tail, MAC), no concatenation.
+/// A client request is a batch of one.
 fn write_batch(stream: &mut TcpStream, batch: &[SealedKv]) -> std::io::Result<()> {
     use std::io::Write;
     let lens: Vec<[u8; 4]> = batch
@@ -197,23 +190,6 @@ fn write_batch(stream: &mut TcpStream, batch: &[SealedKv]) -> std::io::Result<()
     }
     write_all_vectored(stream, &mut parts)?;
     stream.flush()
-}
-
-fn read_frame(stream: &mut TcpStream) -> std::io::Result<Bytes> {
-    use std::io::Read;
-    let mut len = [0u8; 4];
-    stream.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len) as usize;
-    if len > (64 << 20) {
-        return Err(std::io::Error::new(
-            ErrorKind::InvalidData,
-            "oversized frame",
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload)?;
-    // One allocation per frame; every decoded field below borrows from it.
-    Ok(Bytes::from(payload))
 }
 
 /// Seals one client→server request exactly as [`TcpKvTransport::exchange`]
@@ -528,9 +504,8 @@ pub struct KvServerHost {
     chaos: Option<ChaosProxy>,
 }
 
-/// Builder for a [`KvServerHost`] — the one spawn path. Collapses the old
-/// `spawn` / `spawn_with` / `spawn_on` / `spawn_on_with` / `spawn_opts`
-/// constructor zoo into chained setters over [`KvHostOptions`].
+/// Builder for a [`KvServerHost`] — the one spawn path: chained setters
+/// over [`KvHostOptions`].
 ///
 /// ```no_run
 /// # use safereg_common::config::{QuorumConfig, ServerRuntime};
@@ -652,96 +627,7 @@ impl KvServerHost {
         }
     }
 
-    /// Spawns a replica on an ephemeral loopback port with the default
-    /// [`TransportConfig`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind errors.
-    #[deprecated(note = "use KvServerHost::builder(..).spawn()")]
-    pub fn spawn(
-        id: ServerId,
-        cfg: QuorumConfig,
-        mode: KvMode,
-        chain: KeyChain,
-    ) -> std::io::Result<Self> {
-        Self::builder(id, cfg, mode, chain).spawn()
-    }
-
-    /// Spawns a replica on an ephemeral loopback port with an explicit
-    /// transport policy (reply-outbox capacity and shed policy).
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind errors.
-    #[deprecated(note = "use KvServerHost::builder(..).config(tconfig).spawn()")]
-    pub fn spawn_with(
-        id: ServerId,
-        cfg: QuorumConfig,
-        mode: KvMode,
-        chain: KeyChain,
-        tconfig: TransportConfig,
-    ) -> std::io::Result<Self> {
-        Self::builder(id, cfg, mode, chain).config(tconfig).spawn()
-    }
-
-    /// Spawns a replica on a caller-chosen address (the `safereg-kv-server`
-    /// daemon path).
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind errors.
-    #[deprecated(note = "use KvServerHost::builder(..).bind(addr).spawn()")]
-    pub fn spawn_on(
-        id: ServerId,
-        cfg: QuorumConfig,
-        mode: KvMode,
-        chain: KeyChain,
-        bind: impl std::net::ToSocketAddrs,
-    ) -> std::io::Result<Self> {
-        Self::builder(id, cfg, mode, chain).bind(bind).spawn()
-    }
-
-    /// Spawns a replica on a caller-chosen address with an explicit
-    /// transport policy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind errors.
-    #[deprecated(note = "use KvServerHost::builder(..).bind(addr).config(tconfig).spawn()")]
-    pub fn spawn_on_with(
-        id: ServerId,
-        cfg: QuorumConfig,
-        mode: KvMode,
-        chain: KeyChain,
-        bind: impl std::net::ToSocketAddrs,
-        tconfig: TransportConfig,
-    ) -> std::io::Result<Self> {
-        Self::builder(id, cfg, mode, chain)
-            .bind(bind)
-            .config(tconfig)
-            .spawn()
-    }
-
-    /// Spawns a replica with the full option set: transport policy, role,
-    /// and optional server-side chaos.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind errors from the listener or the proxy.
-    #[deprecated(note = "use KvServerHost::builder(..) with chained setters")]
-    pub fn spawn_opts(
-        id: ServerId,
-        cfg: QuorumConfig,
-        mode: KvMode,
-        chain: KeyChain,
-        bind: impl std::net::ToSocketAddrs,
-        opts: KvHostOptions,
-    ) -> std::io::Result<Self> {
-        Self::spawn_inner(id, cfg, mode, chain, bind_first(&bind)?, opts)
-    }
-
-    /// The one real spawn path (the builder and every shim funnel here).
+    /// The one real spawn path (the builder and the cluster funnel here).
     /// With chaos, the real listener binds ephemerally and a seeded
     /// [`ChaosProxy`] binds `bind` in front of it — the advertised
     /// [`addr`](Self::addr) is the proxy, so every accepted connection runs
@@ -1096,7 +982,9 @@ fn serve(
                 last_inbound = std::time::Instant::now();
                 f
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+            Err(FrameError::Io(e))
+                if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut =>
+            {
                 if last_inbound.elapsed() >= idle_timeout {
                     // The client went quiet past the idle budget: reclaim
                     // the connection thread rather than poll forever.
@@ -1180,11 +1068,15 @@ impl KvLink {
             let reg = safereg_obs::global();
             reg.counter(safereg_obs::names::KV_BREAKER_TRANSITIONS)
                 .inc();
-            reg.gauge(&safereg_obs::names::link_state_gauge("kv", server.0))
+            reg.gauge(&safereg_obs::names::link_state_gauge(server.0))
                 .set(u64::from(new));
         }
     }
 }
+
+/// Numbers every [`TcpKvTransport`] of the process; each one's backoff
+/// jitter stream is seeded from its number.
+static NEXT_TRANSPORT: AtomicU64 = AtomicU64::new(0);
 
 /// [`KvTransport`] over TCP connections to every replica.
 ///
@@ -1209,7 +1101,8 @@ pub struct TcpKvTransport {
     /// [`reconfigure`](KvTransport::reconfigure) when the client adopts a
     /// newer membership.
     stamp: ConfigStamp,
-    /// Jitter rolls for backoff waits.
+    /// Jitter rolls for backoff waits, seeded per transport so clients
+    /// that lose the same replica together do not retry in lockstep.
     rng: safereg_common::rng::DetRng,
 }
 
@@ -1244,7 +1137,7 @@ impl TcpKvTransport {
                 let _ = s.set_nodelay(true);
             }
             safereg_obs::global()
-                .gauge(&safereg_obs::names::link_state_gauge("kv", sid.0))
+                .gauge(&safereg_obs::names::link_state_gauge(sid.0))
                 .set(u64::from(STATE_CLOSED));
             links.insert(
                 *sid,
@@ -1263,7 +1156,9 @@ impl TcpKvTransport {
             config,
             audit: None,
             stamp: EpochConfig::genesis(servers.keys().copied()).stamp(),
-            rng: safereg_common::rng::DetRng::seed_from(0x5AFE_4B56),
+            rng: safereg_common::rng::DetRng::seed_from(
+                0x5AFE_4B56 ^ NEXT_TRANSPORT.fetch_add(1, Ordering::Relaxed),
+            ),
         }
     }
 
@@ -1405,7 +1300,7 @@ impl KvTransport for TcpKvTransport {
             .get_mut(&to)
             .and_then(|l| l.stream.as_mut())
             .expect("ensure_connected left a live stream");
-        if sealed.write_to(stream).is_err() {
+        if write_batch(stream, std::slice::from_ref(&sealed)).is_err() {
             return Err(self.fail_link(to));
         }
         // One response per request in the KV protocol.
@@ -1484,7 +1379,7 @@ impl KvTransport for TcpKvTransport {
                 }
                 None => {
                     safereg_obs::global()
-                        .gauge(&safereg_obs::names::link_state_gauge("kv", m.id.0))
+                        .gauge(&safereg_obs::names::link_state_gauge(m.id.0))
                         .set(u64::from(STATE_CLOSED));
                     self.links.insert(
                         m.id,
@@ -1577,9 +1472,7 @@ pub struct TcpKvCluster {
     hosts: BTreeMap<ServerId, KvServerHost>,
 }
 
-/// Builder for a [`TcpKvCluster`] — the one start path. Collapses the old
-/// `start` / `start_with` / `start_chaos` / `start_sharded` constructor
-/// family into chained setters.
+/// Builder for a [`TcpKvCluster`] — the one start path.
 ///
 /// Exactly one of [`quorum`](Self::quorum) (single pre-sharding group) or
 /// [`shards`](Self::shards) (explicit placement, including `m < n`
@@ -1747,78 +1640,6 @@ impl TcpKvCluster {
             reactors: 0,
             poll_backend: PollBackend::default(),
         }
-    }
-
-    /// Starts `n` replicas in the given mode with the default
-    /// [`TransportConfig`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind errors.
-    #[deprecated(note = "use TcpKvCluster::builder(mode, seed).quorum(cfg).start()")]
-    pub fn start(cfg: QuorumConfig, mode: KvMode, master_seed: &[u8]) -> std::io::Result<Self> {
-        Self::builder(mode, master_seed).quorum(cfg).start()
-    }
-
-    /// Starts `n` replicas with an explicit transport policy governing each
-    /// replica's per-connection reply outbox (capacity and shed policy).
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind errors.
-    #[deprecated(note = "use TcpKvCluster::builder(..).quorum(cfg).config(tconfig).start()")]
-    pub fn start_with(
-        cfg: QuorumConfig,
-        mode: KvMode,
-        master_seed: &[u8],
-        tconfig: TransportConfig,
-    ) -> std::io::Result<Self> {
-        Self::builder(mode, master_seed)
-            .quorum(cfg)
-            .config(tconfig)
-            .start()
-    }
-
-    /// Starts `n` replicas with every listener fronted by a seeded
-    /// server-side [`ChaosProxy`] injecting `plan` on accepted connections.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind errors.
-    #[deprecated(note = "use TcpKvCluster::builder(..).quorum(cfg).chaos(plan).start()")]
-    pub fn start_chaos(
-        cfg: QuorumConfig,
-        mode: KvMode,
-        master_seed: &[u8],
-        tconfig: TransportConfig,
-        plan: FaultPlan,
-    ) -> std::io::Result<Self> {
-        Self::builder(mode, master_seed)
-            .quorum(cfg)
-            .config(tconfig)
-            .chaos(plan)
-            .start()
-    }
-
-    /// Starts one host per fleet server of `map`, each serving a register
-    /// group per shard placed on it, optionally chaos-fronted.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind errors.
-    #[deprecated(note = "use TcpKvCluster::builder(..).shards(map).start()")]
-    pub fn start_sharded(
-        map: ShardMap,
-        mode: KvMode,
-        master_seed: &[u8],
-        tconfig: TransportConfig,
-        plan: Option<FaultPlan>,
-    ) -> std::io::Result<Self> {
-        let mut b = Self::builder(mode, master_seed).shards(map).config(tconfig);
-        if let Some(plan) = plan {
-            b = b.chaos(plan);
-        }
-        b.start()
     }
 
     /// The per-shard deployment configuration.
@@ -2415,6 +2236,7 @@ mod tests {
 
     #[test]
     fn kv_over_tcp_roundtrip() {
+        let _counters = crate::test_counters::shared();
         let cfg = QuorumConfig::minimal_bsr(1).unwrap();
         let cluster = TcpKvCluster::builder(KvMode::Replicated, b"kv-tcp")
             .quorum(cfg)
@@ -2434,6 +2256,7 @@ mod tests {
 
     #[test]
     fn kv_over_tcp_tolerates_f_crashes() {
+        let _counters = crate::test_counters::shared();
         let cfg = QuorumConfig::minimal_bsr(1).unwrap();
         let mut cluster = TcpKvCluster::builder(KvMode::Replicated, b"kv-tcp2")
             .quorum(cfg)
@@ -2452,6 +2275,7 @@ mod tests {
 
     #[test]
     fn metrics_key_serves_the_observability_dump() {
+        let _counters = crate::test_counters::shared();
         let cfg = QuorumConfig::minimal_bsr(1).unwrap();
         let cluster = TcpKvCluster::builder(KvMode::Replicated, b"kv-metrics")
             .quorum(cfg)
@@ -2487,6 +2311,7 @@ mod tests {
 
     #[test]
     fn coded_kv_over_tcp() {
+        let _counters = crate::test_counters::shared();
         let cfg = QuorumConfig::new(8, 1).unwrap(); // k = 3
         let cluster = TcpKvCluster::builder(KvMode::Coded, b"kv-tcp3")
             .quorum(cfg)
@@ -2504,6 +2329,7 @@ mod tests {
 
     #[test]
     fn byzantine_replica_cannot_corrupt_the_register() {
+        let _counters = crate::test_counters::shared();
         let cfg = QuorumConfig::minimal_bsr(1).unwrap();
         let mut cluster = TcpKvCluster::builder(KvMode::Replicated, b"kv-byz")
             .quorum(cfg)
@@ -2535,6 +2361,7 @@ mod tests {
 
     #[test]
     fn chaos_fronted_cluster_still_serves() {
+        let _counters = crate::test_counters::shared();
         use safereg_transport::chaos::FaultSpec;
         let cfg = QuorumConfig::minimal_bsr(1).unwrap();
         let plan = FaultPlan::new(7, FaultSpec::calm());
@@ -2556,6 +2383,7 @@ mod tests {
 
     #[test]
     fn restart_respawns_on_the_old_address_and_counts() {
+        let _counters = crate::test_counters::shared();
         let cfg = QuorumConfig::minimal_bsr(1).unwrap();
         let mut cluster = TcpKvCluster::builder(KvMode::Replicated, b"kv-restart")
             .quorum(cfg)
@@ -2604,7 +2432,98 @@ mod tests {
     }
 
     #[test]
+    fn transports_failing_the_same_link_draw_different_backoff_waits() {
+        // A port nothing listens on: every connect is refused.
+        let dead = TcpListener::bind(("127.0.0.1", 0))
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let servers = BTreeMap::from([(ServerId(0), dead)]);
+        let chain = KeyChain::from_master_seed(b"kv-jitter");
+        let mut a = TcpKvTransport::connect(&servers, chain.clone());
+        let mut b = TcpKvTransport::connect(&servers, chain);
+        // Both clients lose the replica together and back off four times.
+        // Jitter drawn from one shared stream would schedule their retries
+        // microseconds apart, locking the clients' breaker cycles in phase.
+        let retry_at = |t: &TcpKvTransport| t.links[&ServerId(0)].next_retry_at.unwrap();
+        let mut spread = Duration::ZERO;
+        for _ in 0..4 {
+            a.fail_link(ServerId(0));
+            b.fail_link(ServerId(0));
+            let (ra, rb) = (retry_at(&a), retry_at(&b));
+            spread = spread.max(ra.max(rb) - ra.min(rb));
+        }
+        assert!(
+            spread > Duration::from_millis(1),
+            "backoff waits did not diverge (max spread {spread:?})"
+        );
+    }
+
+    #[test]
+    fn tampered_trace_context_fails_authentication() {
+        // The trace context sits under the frame MAC: flipping any of its
+        // bytes must get the request dropped, not served under a forged
+        // causal identity.
+        let _counters = crate::test_counters::shared();
+        let cfg = QuorumConfig::minimal_bsr(1).unwrap();
+        let chain = KeyChain::from_master_seed(b"kv-trace");
+        let server = KvServer::new(ServerId(0), cfg);
+        let from = ClientId::Reader(ReaderId(1));
+        let frame = KvFrame {
+            shard: ShardId(0),
+            trace: TraceCtx {
+                id: 99,
+                op_seq: 1,
+                phase: 0,
+                hop: 0,
+            },
+            stamp: EpochConfig::genesis(cfg.servers()).stamp(),
+            link: None,
+            key: Bytes::copy_from_slice(b"k"),
+            env: Envelope::to_server(
+                from,
+                ServerId(0),
+                ClientToServer::QueryTag {
+                    op: OpId::new(from, 1),
+                },
+            ),
+        };
+        let sealed = SealedKv::seal(
+            &AuthCodec::new(chain.pair_key(frame.env.src, frame.env.dst)),
+            &frame,
+        );
+        let replies = |flip: Option<usize>| {
+            let mut bytes = [&sealed.head[..], sealed.tail.as_ref(), &sealed.mac].concat();
+            if let Some(at) = flip {
+                bytes[at] ^= 0x40;
+            }
+            let mut queued = 0;
+            process_sealed_frame(
+                &server,
+                &chain,
+                ServerId(0),
+                &Bytes::from(bytes),
+                &mut |_| {
+                    queued += 1;
+                    true
+                },
+            );
+            queued
+        };
+        assert_eq!(replies(None), 1, "the untouched frame is served");
+        let trace_at = frame.shard.to_bytes().len();
+        for at in trace_at..trace_at + TraceCtx::WIRE_LEN {
+            assert_eq!(
+                replies(Some(at)),
+                0,
+                "flipped trace byte {at} must not verify"
+            );
+        }
+    }
+
+    #[test]
     fn every_shed_policy_serves_a_roundtrip() {
+        let _counters = crate::test_counters::shared();
         // The bounded reply outbox must be transparent when it never
         // fills: each policy serves the same put/get sequence.
         for (i, policy) in ShedPolicy::ALL.iter().enumerate() {
@@ -2631,6 +2550,7 @@ mod tests {
 
     #[test]
     fn rolling_reconfiguration_redirects_live_clients() {
+        let _counters = crate::test_counters::shared();
         let cfg = QuorumConfig::minimal_bsr(1).unwrap();
         let mut cluster = TcpKvCluster::builder(KvMode::Replicated, b"kv-churn")
             .quorum(cfg)
@@ -2680,6 +2600,7 @@ mod tests {
 
     #[test]
     fn coded_joiner_rebuilds_its_own_fragment() {
+        let _counters = crate::test_counters::shared();
         let cfg = QuorumConfig::new(8, 1).unwrap(); // k = 3
         let mut cluster = TcpKvCluster::builder(KvMode::Coded, b"kv-churn-coded")
             .quorum(cfg)
@@ -2717,6 +2638,7 @@ mod tests {
 
     #[test]
     fn restarted_replica_is_rehydrated_not_amnesiac() {
+        let _counters = crate::test_counters::shared();
         let cfg = QuorumConfig::minimal_bsr(1).unwrap();
         let mut cluster = TcpKvCluster::builder(KvMode::Replicated, b"kv-amnesia")
             .quorum(cfg)

@@ -27,7 +27,6 @@ const OP_RETRIES: usize = 8;
 fn chaos_transport() -> TransportConfig {
     TransportConfig {
         connect_timeout: Duration::from_millis(250),
-        op_deadline: Duration::from_secs(3),
         io_timeout: Duration::from_millis(50),
         retry_budget: 1,
         backoff: BackoffPolicy {
@@ -50,7 +49,6 @@ fn lossy_spec() -> FaultSpec {
         drop_permille: 25,
         delay_permille: 25,
         delay_micros: (50, 500),
-        classes: None,
     }
 }
 

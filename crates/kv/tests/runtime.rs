@@ -1,8 +1,7 @@
 //! Reactor-runtime integration tests: the readiness-driven serving path
 //! (`ServerRuntime::Reactor`, the default) must behave exactly like the
 //! thread-per-connection runtime under chaos, backpressure and idleness,
-//! and the builder API must be a faithful replacement for the deprecated
-//! `spawn*`/`start*` constructors.
+//! and the builders must start working deployments.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -30,36 +29,28 @@ fn roundtrip(cluster: &TcpKvCluster, who: u16, key: &[u8], value: &str) {
     );
 }
 
-/// The deprecated constructors and the builders they delegate to must be
-/// behaviourally interchangeable: same wire protocol, same chain, same
-/// roundtrip result. (This test is the one sanctioned caller of the shims;
-/// production code is held to the builder by a CI grep gate.)
+/// The builders are the one construction path: a built cluster serves a
+/// roundtrip, built hosts bind distinct ephemeral ports, and a cluster
+/// builder with neither a quorum nor a placement refuses to start.
 #[test]
-#[allow(deprecated)]
-fn builders_are_equivalent_to_deprecated_constructors() {
+fn builders_start_working_deployments() {
     let cfg = QuorumConfig::minimal_bsr(1).unwrap();
-
-    let via_shim = TcpKvCluster::start(cfg, KvMode::Replicated, b"rt-equiv").unwrap();
-    roundtrip(&via_shim, 1, b"equiv", "via shim");
-    drop(via_shim);
-
-    let via_builder = TcpKvCluster::builder(KvMode::Replicated, b"rt-equiv")
+    let cluster = TcpKvCluster::builder(KvMode::Replicated, b"rt-equiv")
         .quorum(cfg)
         .start()
         .unwrap();
-    roundtrip(&via_builder, 1, b"equiv", "via builder");
-    drop(via_builder);
+    roundtrip(&cluster, 1, b"equiv", "via builder");
+    drop(cluster);
 
-    // Single-host parity: a shim-spawned and a builder-spawned replica
-    // accept the same sealed frames.
     let chain = KeyChain::from_master_seed(b"rt-equiv-host");
-    let a = KvServerHost::spawn(ServerId(0), cfg, KvMode::Replicated, chain.clone()).unwrap();
+    let a = KvServerHost::builder(ServerId(0), cfg, KvMode::Replicated, chain.clone())
+        .spawn()
+        .unwrap();
     let b = KvServerHost::builder(ServerId(0), cfg, KvMode::Replicated, chain)
         .spawn()
         .unwrap();
     assert_ne!(a.addr(), b.addr());
 
-    // A builder with neither quorum nor shards must refuse to start.
     let err = TcpKvCluster::builder(KvMode::Replicated, b"rt-equiv")
         .start()
         .unwrap_err();

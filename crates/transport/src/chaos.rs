@@ -4,8 +4,8 @@
 //! scheduler; this module ports that discipline to real sockets. A
 //! [`FaultPlan`] is a pure function of a seed: for every `(server,
 //! connection, direction)` stream it yields a reproducible sequence of
-//! [`FaultAction`]s — forward, drop, delay, corrupt, truncate, or kill —
-//! optionally restricted to particular message classes. A [`ChaosProxy`]
+//! [`FaultAction`]s — forward, drop, delay, corrupt, truncate, or kill. A
+//! [`ChaosProxy`]
 //! sits between a client and one server, parses the length-prefixed frame
 //! stream, and applies the plan frame by frame; [`ChaosNet`] wraps a whole
 //! deployment.
@@ -19,9 +19,7 @@
 //!
 //! The proxies speak the transport's raw framing (`u32` little-endian
 //! length + payload) and never authenticate anything: corruption is
-//! *supposed* to reach the peer and be rejected by its MAC check. Both the
-//! register transport and the KV transport use this framing, so one proxy
-//! serves both stacks.
+//! *supposed* to reach the peer and be rejected by its MAC check.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -33,14 +31,9 @@ use std::time::Duration;
 
 use safereg_common::buf::Bytes;
 use safereg_common::ids::ServerId;
-use safereg_common::msg::Envelope;
 use safereg_common::rng::DetRng;
 use safereg_common::sync::Mutex;
-use safereg_common::trace::TraceCtx;
 use safereg_obs::names;
-use safereg_obs::trace::MsgClass;
-
-use safereg_common::codec::Wire;
 
 /// What the proxy does to one frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,10 +98,6 @@ pub struct FaultSpec {
     pub delay_permille: u16,
     /// Uniform delay range in microseconds (inclusive lo, exclusive hi).
     pub delay_micros: (u64, u64),
-    /// When `Some`, faults only hit frames of these message classes;
-    /// everything else is forwarded (one decision is still consumed per
-    /// frame, so the schedule is traffic-class independent).
-    pub classes: Option<Vec<MsgClass>>,
 }
 
 impl FaultSpec {
@@ -122,7 +111,6 @@ impl FaultSpec {
             drop_permille: 0,
             delay_permille: 0,
             delay_micros: (0, 1),
-            classes: None,
         }
     }
 
@@ -137,7 +125,6 @@ impl FaultSpec {
             drop_permille: 30,
             delay_permille: 100,
             delay_micros: (500, 5_000),
-            classes: None,
         }
     }
 
@@ -150,7 +137,6 @@ impl FaultSpec {
             drop_permille: 100,
             delay_permille: 200,
             delay_micros: (1_000, 20_000),
-            classes: None,
         }
     }
 
@@ -241,7 +227,7 @@ pub struct FaultSchedule {
 }
 
 impl FaultSchedule {
-    /// Draws the next decision unconditionally (class filter ignored).
+    /// Draws the next decision.
     pub fn decide(&mut self) -> FaultAction {
         let roll = self.rng.range_u64(0..1000);
         let mut bound = u64::from(self.spec.kill_permille);
@@ -272,36 +258,6 @@ impl FaultSchedule {
         }
         FaultAction::Forward
     }
-
-    /// Draws the next decision for a frame of `class`. A decision is
-    /// consumed either way (schedule position is traffic-independent), but
-    /// frames outside the spec's class filter are always forwarded.
-    pub fn next_action(&mut self, class: Option<MsgClass>) -> FaultAction {
-        let action = self.decide();
-        match (&self.spec.classes, class) {
-            (Some(filter), Some(c)) if !filter.contains(&c) => FaultAction::Forward,
-            (Some(_), None) => FaultAction::Forward,
-            _ => action,
-        }
-    }
-}
-
-/// Best-effort classification of a raw frame payload: sealed register
-/// frames carry a 16-byte trace context then the envelope; KV frames
-/// carry a shard id and key first, which the envelope decode rejects, so
-/// those (and garbage) classify as `None`.
-fn classify(payload: &Bytes) -> Option<MsgClass> {
-    if payload.len() < 32 + TraceCtx::WIRE_LEN {
-        return None;
-    }
-    let body = payload.slice(..payload.len() - 32);
-    let mut r = safereg_common::codec::BytesReader::new(&body);
-    TraceCtx::decode_borrowed(&mut r).ok()?;
-    let env = Envelope::decode_borrowed(&mut r).ok()?;
-    if !r.is_empty() {
-        return None;
-    }
-    Some(MsgClass::of(&env.msg))
 }
 
 /// Incremental frame parser over the raw `u32`-length-prefixed stream.
@@ -515,8 +471,7 @@ fn relay(
     };
     loop {
         while let Some(payload) = fb.extract() {
-            let class = classify(&payload);
-            let action = sched.next_action(class);
+            let action = sched.decide();
             if action == FaultAction::Forward {
                 reg.counter(names::CHAOS_FORWARDED).inc();
             } else {
@@ -708,31 +663,8 @@ mod tests {
         let plan = FaultPlan::new(9, FaultSpec::calm());
         let mut sched = plan.schedule(ServerId(0), 0, Direction::ClientToServer);
         for _ in 0..100 {
-            assert_eq!(sched.next_action(None), FaultAction::Forward);
+            assert_eq!(sched.decide(), FaultAction::Forward);
         }
-    }
-
-    #[test]
-    fn class_filter_shields_other_classes() {
-        let mut spec = FaultSpec::severe();
-        spec.classes = Some(vec![MsgClass::PutData]);
-        let plan = FaultPlan::new(3, spec);
-        let mut sched = plan.schedule(ServerId(0), 0, Direction::ClientToServer);
-        for _ in 0..200 {
-            assert_eq!(
-                sched.next_action(Some(MsgClass::QueryData)),
-                FaultAction::Forward,
-                "query-data is outside the filter"
-            );
-        }
-        let mut sched = plan.schedule(ServerId(0), 0, Direction::ClientToServer);
-        let mut faulted = 0;
-        for _ in 0..200 {
-            if sched.next_action(Some(MsgClass::PutData)) != FaultAction::Forward {
-                faulted += 1;
-            }
-        }
-        assert!(faulted > 0, "the targeted class does get hit");
     }
 
     #[test]

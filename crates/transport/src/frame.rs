@@ -1,62 +1,45 @@
 //! Length-prefixed, MAC-authenticated frames over zero-copy [`Bytes`].
 //!
 //! Wire layout per frame: `u32` little-endian length, then `length` bytes
-//! of payload. For authenticated envelope exchange the payload is
-//! `encode(trace) || encode(envelope) || HMAC(pair_key(src, dst), …)` —
-//! a fixed 16-byte [`TraceCtx`] ahead of the envelope head, both under
-//! the MAC — sealed by [`seal_envelope_traced`] into a [`SealedFrame`]
-//! and opened by [`open_envelope_traced`], which derive the link key from
-//! the envelope's own endpoints. A frame whose MAC does not verify under
-//! the claimed endpoints' key is rejected, which is exactly the
-//! authentication guarantee the paper's model assumes — and because the
-//! trace context sits under the same MAC, a Byzantine relay can no more
-//! forge causality than payloads. The untraced [`seal_envelope`] /
-//! [`open_envelope`] wrappers carry [`TraceCtx::NONE`] (16 zero bytes).
+//! of payload. [`read_frame`] is the one blocking frame reader and
+//! [`write_all_vectored`] the one vectored writer; the KV transport and
+//! host both frame their traffic through them, and the reactor enforces
+//! the same [`MAX_FRAME`] cap.
+//!
+//! For a bare authenticated envelope the payload is
+//! `encode(envelope) || HMAC(pair_key(src, dst), …)`, sealed by
+//! [`seal_envelope`] into a [`SealedFrame`] and opened by
+//! [`open_envelope`], which derive the link key from the envelope's own
+//! endpoints. A frame whose MAC does not verify under the claimed
+//! endpoints' key is rejected, which is exactly the authentication
+//! guarantee the paper's model assumes (§II-A).
 //!
 //! # Zero-copy discipline
 //!
 //! Sealing never materializes the full frame: [`Envelope::encode_parts`]
 //! splits the encoding into a small serialized head and an O(1) clone of
-//! the payload's [`Bytes`] tail, the MAC is streamed over both parts
-//! ([`AuthCodec::mac_of_parts`]), and [`write_frame`] hands the header,
-//! head, tail and MAC to the socket as a vectored write. Opening borrows:
-//! [`read_frame`] returns the payload as [`Bytes`] and
-//! [`open_envelope`] decodes it with the borrowing decoder, so payload
-//! fields are O(1) slices of the received buffer. The
-//! [`wire.bytes_copied`](safereg_obs::names::WIRE_BYTES_COPIED) counter
-//! observes any payload memcpy the copying fallback performs; on this path
-//! it stays at zero.
+//! the payload's [`Bytes`] tail, and the MAC is streamed over both parts
+//! ([`AuthCodec::mac_of_parts`]). Opening borrows: [`read_frame`] returns
+//! the payload as [`Bytes`] and [`open_envelope`] decodes it with the
+//! borrowing decoder, so payload fields are O(1) slices of the received
+//! buffer. The [`wire.bytes_copied`](safereg_obs::names::WIRE_BYTES_COPIED)
+//! counter observes any payload memcpy the copying fallback performs; on
+//! this path it stays at zero.
 
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::sync::{Arc, OnceLock};
 
 use safereg_common::buf::Bytes;
-use safereg_common::codec::{payload_bytes_copied, BytesReader, Wire, WireError};
+use safereg_common::codec::{payload_bytes_copied, Wire, WireError};
 use safereg_common::msg::Envelope;
-use safereg_common::trace::TraceCtx;
 use safereg_crypto::auth::{AuthCodec, AuthError};
 use safereg_crypto::keychain::KeyChain;
 use safereg_crypto::sha256::DIGEST_LEN;
-use safereg_obs::metrics::{Counter, Histogram};
+use safereg_obs::metrics::Counter;
 use safereg_obs::names;
 
-/// Cached handles into the global registry so the per-frame hot path
-/// pays one atomic instead of a name lookup.
-fn seal_hist() -> &'static Arc<Histogram> {
-    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-    H.get_or_init(|| safereg_obs::global().histogram("transport.frame.seal_us"))
-}
-
-fn open_hist() -> &'static Arc<Histogram> {
-    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-    H.get_or_init(|| safereg_obs::global().histogram("transport.frame.open_us"))
-}
-
-fn auth_fail_counter() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| safereg_obs::global().counter("transport.frame.auth_fail"))
-}
-
+/// Cached handle into the global registry so the open path pays one
+/// atomic instead of a name lookup.
 fn bytes_copied_counter() -> &'static Arc<Counter> {
     static C: OnceLock<Arc<Counter>> = OnceLock::new();
     C.get_or_init(|| safereg_obs::global().counter(names::WIRE_BYTES_COPIED))
@@ -100,27 +83,9 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
-/// Writes one frame whose payload is the concatenation of `parts`,
-/// without joining them into a contiguous buffer first: the length
-/// header and every part go to the socket as one vectored write.
-///
-/// # Errors
-///
-/// Propagates socket errors.
-pub fn write_frame<W: Write, B: AsRef<[u8]>>(w: &mut W, parts: &[B]) -> Result<(), FrameError> {
-    let len: usize = parts.iter().map(|p| p.as_ref().len()).sum();
-    let header = (len as u32).to_le_bytes();
-    let mut slices: Vec<&[u8]> = Vec::with_capacity(parts.len() + 1);
-    slices.push(&header);
-    slices.extend(parts.iter().map(AsRef::as_ref));
-    write_all_vectored(w, &mut slices)?;
-    w.flush()?;
-    Ok(())
-}
-
 /// Drives `Write::write_vectored` to completion across short writes,
-/// advancing through `parts` in place. Public so other wire layers (the KV
-/// host's batched reply drain) can flush multi-frame batches with one
+/// advancing through `parts` in place, so a caller can flush a length
+/// header plus a frame's parts (or a whole batch of frames) with one
 /// vectored write instead of a `write_all` per part.
 ///
 /// # Errors
@@ -179,9 +144,8 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Bytes, FrameError> {
 /// tail (an O(1) clone of the sender's value buffer) and the MAC over
 /// their concatenation.
 ///
-/// The three parts are kept separate so the frame can be written
-/// vectored and resent any number of times without re-encoding or
-/// re-MACing; [`SealedFrame::write_to`] is the hot-path sink.
+/// The three parts are kept separate so sealing never concatenates them:
+/// the tail stays an alias of the sender's buffer.
 #[derive(Debug, Clone)]
 pub struct SealedFrame {
     head: Vec<u8>,
@@ -196,45 +160,8 @@ impl SealedFrame {
         self.head.len() + self.tail.len() + DIGEST_LEN
     }
 
-    /// Writes a batch of sealed frames as one vectored write — four iovecs
-    /// per frame (length header, head, zero-copy tail, MAC) — so an outbox
-    /// drained in bursts costs a syscall per batch, not per frame.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors.
-    pub fn write_batch<W: Write, F: std::borrow::Borrow<SealedFrame>>(
-        w: &mut W,
-        frames: &[F],
-    ) -> Result<(), FrameError> {
-        let headers: Vec<[u8; 4]> = frames
-            .iter()
-            .map(|f| (f.borrow().payload_len() as u32).to_le_bytes())
-            .collect();
-        let mut slices: Vec<&[u8]> = Vec::with_capacity(frames.len() * 4);
-        for (frame, header) in frames.iter().zip(&headers) {
-            let frame = frame.borrow();
-            slices.push(header);
-            slices.push(&frame.head);
-            slices.push(frame.tail.as_ref());
-            slices.push(&frame.mac);
-        }
-        write_all_vectored(w, &mut slices)?;
-        w.flush()?;
-        Ok(())
-    }
-
-    /// Writes the frame as one vectored write: header, head, tail, MAC.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors.
-    pub fn write_to<W: Write>(&self, w: &mut W) -> Result<(), FrameError> {
-        write_frame(w, &[&self.head[..], self.tail.as_ref(), &self.mac[..]])
-    }
-
-    /// Materializes the sealed payload contiguously (tests, proxies).
-    /// The hot path never calls this — it writes the parts directly.
+    /// Materializes the sealed payload contiguously, as [`read_frame`]
+    /// would return it on the receiving side.
     pub fn to_bytes(&self) -> Bytes {
         let mut joined = Vec::with_capacity(self.payload_len());
         joined.extend_from_slice(&self.head);
@@ -244,29 +171,16 @@ impl SealedFrame {
     }
 }
 
-/// Seals an untraced envelope: [`seal_envelope_traced`] with
-/// [`TraceCtx::NONE`] (one branch downstream, 16 zero bytes on the wire).
-pub fn seal_envelope(chain: &KeyChain, env: &Envelope) -> SealedFrame {
-    seal_envelope_traced(chain, env, TraceCtx::NONE)
-}
-
-/// Seals an envelope under the link key of its `(src, dst)` pair, with
-/// the sender's trace context ahead of the envelope head.
+/// Seals an envelope under the link key of its `(src, dst)` pair.
 ///
 /// The encoding is split by [`Envelope::encode_parts`]: the payload tail
 /// is an O(1) clone of the envelope's value buffer, never copied, and the
-/// MAC is streamed over `trace ++ head ++ tail` without concatenating
-/// them — the trace context is MAC-covered for free.
-pub fn seal_envelope_traced(chain: &KeyChain, env: &Envelope, trace: TraceCtx) -> SealedFrame {
-    let start = std::time::Instant::now();
-    let (env_head, tail) = env.encode_parts();
+/// MAC is streamed over `head ++ tail` without concatenating them.
+pub fn seal_envelope(chain: &KeyChain, env: &Envelope) -> SealedFrame {
+    let (head, tail) = env.encode_parts();
     let tail = tail.unwrap_or_default();
-    let mut head = Vec::with_capacity(TraceCtx::WIRE_LEN + env_head.len());
-    trace.encode_to(&mut head);
-    head.extend_from_slice(&env_head);
     let mac =
         AuthCodec::new(chain.pair_key(env.src, env.dst)).mac_of_parts(&[&head, tail.as_ref()]);
-    seal_hist().record(start.elapsed().as_micros() as u64);
     SealedFrame { head, tail, mac }
 }
 
@@ -285,55 +199,26 @@ pub fn seal_envelope_traced(chain: &KeyChain, env: &Envelope, trace: TraceCtx) -
 /// [`FrameError::Codec`] for malformed bytes, [`FrameError::Auth`] for MAC
 /// failures.
 pub fn open_envelope(chain: &KeyChain, frame: impl Into<Bytes>) -> Result<Envelope, FrameError> {
-    open_envelope_traced(chain, frame).map(|(env, _)| env)
-}
-
-/// As [`open_envelope`], additionally returning the MAC-verified trace
-/// context the sender stamped into the frame head.
-///
-/// # Errors
-///
-/// [`FrameError::Codec`] for malformed bytes, [`FrameError::Auth`] for MAC
-/// failures.
-pub fn open_envelope_traced(
-    chain: &KeyChain,
-    frame: impl Into<Bytes>,
-) -> Result<(Envelope, TraceCtx), FrameError> {
     let frame = frame.into();
-    let start = std::time::Instant::now();
     let copied_before = payload_bytes_copied();
     let result = open_envelope_inner(chain, &frame);
     // Global delta: exact on the wire path, where only this open runs; a
     // concurrent copying decode elsewhere can only inflate it, never hide
     // a copy — safe for a "must be zero" gate.
     bytes_copied_counter().add(payload_bytes_copied() - copied_before);
-    open_hist().record(start.elapsed().as_micros() as u64);
-    if matches!(result, Err(FrameError::Auth(_))) {
-        auth_fail_counter().inc();
-    }
     result
 }
 
-fn open_envelope_inner(
-    chain: &KeyChain,
-    frame: &Bytes,
-) -> Result<(Envelope, TraceCtx), FrameError> {
+fn open_envelope_inner(chain: &KeyChain, frame: &Bytes) -> Result<Envelope, FrameError> {
     if frame.len() < DIGEST_LEN {
         return Err(FrameError::Auth(AuthError::TooShort { len: frame.len() }));
     }
     let payload = frame.slice(..frame.len() - DIGEST_LEN);
-    let mut r = BytesReader::new(&payload);
-    let trace = TraceCtx::decode_borrowed(&mut r).map_err(FrameError::Codec)?;
-    let env = Envelope::decode_borrowed(&mut r).map_err(FrameError::Codec)?;
-    if !r.is_empty() {
-        return Err(FrameError::Codec(WireError::TrailingBytes {
-            count: r.remaining(),
-        }));
-    }
+    let env = Envelope::from_bytes(&payload).map_err(FrameError::Codec)?;
     AuthCodec::new(chain.pair_key(env.src, env.dst))
         .open(frame.as_ref())
         .map_err(FrameError::Auth)?;
-    Ok((env, trace))
+    Ok(env)
 }
 
 #[cfg(test)]
@@ -354,11 +239,21 @@ mod tests {
         )
     }
 
+    /// Frames `parts` the way every sender does: a length header plus the
+    /// parts, handed to [`write_all_vectored`] as one vectored write.
+    fn write_framed<W: Write>(w: &mut W, parts: &[&[u8]]) {
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        let header = (len as u32).to_le_bytes();
+        let mut slices: Vec<&[u8]> = vec![&header];
+        slices.extend_from_slice(parts);
+        write_all_vectored(w, &mut slices).unwrap();
+    }
+
     #[test]
     fn frame_roundtrip_over_a_buffer() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, &[&b"hello"[..]]).unwrap();
-        write_frame(&mut buf, &[&b"wor"[..], &b""[..], &b"ld!"[..]]).unwrap();
+        write_framed(&mut buf, &[b"hello"]);
+        write_framed(&mut buf, &[b"wor", b"", b"ld!"]);
         let mut cursor = std::io::Cursor::new(buf);
         assert_eq!(read_frame(&mut cursor).unwrap().as_ref(), b"hello");
         assert_eq!(read_frame(&mut cursor).unwrap().as_ref(), b"world!");
@@ -381,7 +276,7 @@ mod tests {
             }
         }
         let mut w = OneByte(Vec::new());
-        write_frame(&mut w, &[&b"ab"[..], &b"cde"[..]]).unwrap();
+        write_framed(&mut w, &[b"ab", b"cde"]);
         let mut cursor = std::io::Cursor::new(w.0);
         assert_eq!(read_frame(&mut cursor).unwrap().as_ref(), b"abcde");
     }
@@ -405,16 +300,6 @@ mod tests {
         assert_eq!(frame.len(), sealed.payload_len());
         let back = open_envelope(&chain, &frame).unwrap();
         assert_eq!(back, env());
-    }
-
-    #[test]
-    fn write_to_emits_the_same_bytes_as_to_bytes() {
-        let chain = KeyChain::from_master_seed(b"seed");
-        let sealed = seal_envelope(&chain, &env());
-        let mut wire = Vec::new();
-        sealed.write_to(&mut wire).unwrap();
-        let mut cursor = std::io::Cursor::new(wire);
-        assert_eq!(read_frame(&mut cursor).unwrap(), sealed.to_bytes());
     }
 
     #[test]
@@ -501,57 +386,11 @@ mod tests {
         // Forge: claim the same payload came from server 5 instead.
         e.src = ServerId(5).into();
         let mut forged = Vec::new();
-        TraceCtx::NONE.encode_to(&mut forged);
         e.encode_to(&mut forged);
         forged.extend_from_slice(&frame.as_ref()[frame.len() - DIGEST_LEN..]); // reuse old MAC
         assert!(matches!(
             open_envelope(&chain, forged),
             Err(FrameError::Auth(_))
         ));
-    }
-
-    #[test]
-    fn trace_context_roundtrips_under_the_mac() {
-        let chain = KeyChain::from_master_seed(b"seed");
-        let trace = TraceCtx {
-            id: 0xABCD_EF01_2345_6789,
-            op_seq: 7,
-            phase: safereg_common::trace::Phase::Rpc as u8,
-            hop: 1,
-        };
-        let sealed = seal_envelope_traced(&chain, &env(), trace);
-        let (back, got) = open_envelope_traced(&chain, sealed.to_bytes()).unwrap();
-        assert_eq!(back, env());
-        assert_eq!(got, trace);
-        // The untraced wrapper carries NONE and still interoperates.
-        let (_, none) =
-            open_envelope_traced(&chain, seal_envelope(&chain, &env()).to_bytes()).unwrap();
-        assert_eq!(none, TraceCtx::NONE);
-    }
-
-    #[test]
-    fn tampered_trace_context_fails_authentication() {
-        // The trace bytes sit under the MAC: flipping any of the 16
-        // head bytes must be rejected, not silently mis-attributed.
-        let chain = KeyChain::from_master_seed(b"seed");
-        let trace = TraceCtx {
-            id: 99,
-            op_seq: 1,
-            phase: 0,
-            hop: 0,
-        };
-        for byte in 0..TraceCtx::WIRE_LEN {
-            let mut frame = seal_envelope_traced(&chain, &env(), trace)
-                .to_bytes()
-                .to_vec();
-            frame[byte] ^= 0x40;
-            assert!(
-                matches!(
-                    open_envelope(&chain, frame),
-                    Err(FrameError::Auth(_)) | Err(FrameError::Codec(_))
-                ),
-                "flipped trace byte {byte} must not verify"
-            );
-        }
     }
 }

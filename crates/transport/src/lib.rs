@@ -1,56 +1,57 @@
-//! Real-socket deployment of the `safereg` protocols.
+//! Wire plumbing shared by every real-socket deployment of the `safereg`
+//! protocols.
 //!
-//! The same sans-io state machines that run on the simulator run here over
-//! TCP: [`frame`] provides length-prefixed, HMAC-authenticated framing of
-//! wire-encoded [`safereg_common::msg::Envelope`]s (the paper's
-//! authenticated channels, §II-A); [`server`] hosts a
-//! [`safereg_core::server::ServerNode`] behind a listener with one thread
-//! per connection; [`client`] connects a client to every server and drives
-//! any [`safereg_core::op::ClientOp`] to completion; [`cluster`] spins up a
-//! whole in-process cluster on loopback for examples and tests; [`chaos`]
-//! is the simulator's fault bestiary ported to real sockets — seeded,
-//! reproducible proxies that drop, delay, corrupt, truncate and kill
-//! connections so the client's supervisors, retries and circuit breakers
-//! can be exercised deterministically.
+//! [`frame`] provides length-prefixed, HMAC-authenticated framing (the
+//! paper's authenticated channels, §II-A): the one blocking frame reader,
+//! the one vectored writer, and the sealing of bare envelopes. [`poll`] is
+//! the readiness backend (epoll, or portable `poll`) the KV reactor runs
+//! on. [`chaos`] is the simulator's fault bestiary ported to real sockets —
+//! seeded, reproducible proxies that drop, delay, corrupt, truncate and
+//! kill connections so the client's retries and circuit breakers can be
+//! exercised deterministically.
 //!
-//! The RB baseline is deliberately not given a TCP runtime — it exists to
-//! be *measured against* under controlled delays, which the simulator does
-//! better; see DESIGN.md.
+//! The TCP client, server host and loopback cluster live in
+//! `safereg-kv`: a bare register is a one-key KV store. The RB baseline is
+//! deliberately not given a TCP runtime — it exists to be *measured
+//! against* under controlled delays, which the simulator does better; see
+//! DESIGN.md.
 //!
 //! # Examples
 //!
-//! ```no_run
-//! use safereg_common::{config::QuorumConfig, ids::{ReaderId, WriterId}, value::Value};
-//! use safereg_core::client::{BsrReader, BsrWriter};
-//! use safereg_transport::cluster::LocalCluster;
+//! ```
+//! use safereg_common::ids::{ClientId, ReaderId, ServerId};
+//! use safereg_common::msg::{ClientToServer, Envelope, OpId};
+//! use safereg_crypto::keychain::KeyChain;
+//! use safereg_transport::frame::{open_envelope, read_frame, seal_envelope};
+//! use safereg_transport::write_all_vectored;
 //!
-//! let cfg = QuorumConfig::minimal_bsr(1)?;
-//! let cluster = LocalCluster::start(cfg, b"demo-secret")?;
+//! let chain = KeyChain::from_master_seed(b"demo-secret");
+//! let env = Envelope::to_server(
+//!     ClientId::Reader(ReaderId(0)),
+//!     ServerId(0),
+//!     ClientToServer::QueryData { op: OpId::new(ReaderId(0), 1) },
+//! );
+//! let sealed = seal_envelope(&chain, &env).to_bytes();
 //!
-//! let mut writer_client = cluster.client(WriterId(0))?;
-//! let mut writer = BsrWriter::new(WriterId(0), cfg);
-//! writer_client.run_op(&mut writer.write(Value::from("over tcp")))?;
+//! // Frame it onto a "socket" and read it back.
+//! let mut wire = Vec::new();
+//! let header = (sealed.len() as u32).to_le_bytes();
+//! write_all_vectored(&mut wire, &mut [&header[..], sealed.as_ref()])?;
+//! let frame = read_frame(&mut wire.as_slice())?;
+//! assert_eq!(open_envelope(&chain, &frame)?, env);
 //!
-//! let mut reader_client = cluster.client(ReaderId(0))?;
-//! let mut reader = BsrReader::new(ReaderId(0), cfg);
-//! let mut read = reader.read();
-//! let out = reader_client.run_op(&mut read)?;
-//! assert_eq!(out.read_value().unwrap().as_bytes(), b"over tcp");
+//! // A different deployment secret cannot forge or open the frame.
+//! let stranger = KeyChain::from_master_seed(b"other-secret");
+//! assert!(open_envelope(&stranger, &frame).is_err());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 pub mod chaos;
-pub mod client;
-pub mod cluster;
 pub mod frame;
 pub mod poll;
-pub mod server;
 
 pub use chaos::{
     ChaosNet, ChaosProxy, Direction, FaultAction, FaultPlan, FaultSchedule, FaultSpec,
 };
-pub use client::{ClientError, ClusterClient, FaultClass};
-pub use cluster::LocalCluster;
-pub use frame::{read_frame, write_all_vectored, write_frame, FrameError};
+pub use frame::{read_frame, write_all_vectored, FrameError, MAX_FRAME};
 pub use poll::{Interest, PollBackend, PollEvent, Poller, Waker};
-pub use server::ServerHost;

@@ -29,11 +29,12 @@ metrics_out=$(cargo run --release --offline -q -p safereg-bench --bin paper_harn
 grep -q '"metric":"sim.read.fast_ratio_permille"' <<< "$metrics_out" ||
     { echo "ci.sh: metrics dump missing fast-read-ratio gauge" >&2; exit 1; }
 
-# Chaos smoke: one bounded seeded run over the real TCP stack behind the
-# fault-injection proxies. The scenario itself asserts the self-healing
-# predicate (all ops complete, checker safety holds, nonzero reconnects
-# and breaker transitions, seed-stable schedule) and exits nonzero on
-# failure; the grep pins the human-readable verdict line too.
+# Chaos smoke: one bounded seeded run over the real TCP stack (a one-key
+# KV deployment) behind the fault-injection proxies. The scenario itself
+# asserts the self-healing predicate (all ops complete, checker safety
+# holds, nonzero reconnects and breaker transitions, seed-stable schedule)
+# and exits nonzero on failure; the grep pins the human-readable verdict
+# line too.
 echo "==> paper_harness chaos | grep 'chaos: self-healing ok'"
 chaos_out=$(cargo run --release --offline -q -p safereg-bench --bin paper_harness chaos)
 echo "$chaos_out"
@@ -182,16 +183,5 @@ grep -q '<redacted>' crates/crypto/src/keychain.rs ||
     { echo "ci.sh: KeyChain Debug no longer redacts key material" >&2; exit 1; }
 grep -q '"<redacted>"' crates/kv/src/audit.rs ||
     { echo "ci.sh: AuditLog Debug no longer redacts its keychain" >&2; exit 1; }
-
-# API gate: the deprecated KvServerHost::spawn*/TcpKvCluster::start*
-# constructors must not be called from non-test code — the builders are
-# the one public path (the builder-equivalence integration test is the
-# single sanctioned shim caller and lives under crates/kv/tests/).
-echo "==> grep gate: no deprecated spawn*/start* callers outside tests"
-if grep -rnE "KvServerHost::spawn(_with|_on|_on_with|_opts)?\(|TcpKvCluster::start(_with|_chaos|_sharded)?\(" \
-    crates/*/src src examples; then
-    echo "ci.sh: deprecated constructor call in non-test code (use the builders)" >&2
-    exit 1
-fi
 
 echo "ci.sh: all checks passed"

@@ -15,8 +15,11 @@
 //! * [`checker`] — safety / regularity / ordering checkers.
 //! * [`obs`] — zero-dependency metrics registry, structured tracing and
 //!   semi-fast-path accounting.
-//! * [`transport`] — authenticated TCP transport and cluster runtime.
-//! * [`kv`] — a key-value store layered on the registers.
+//! * [`transport`] — authenticated wire frames, readiness polling and
+//!   seeded chaos proxies.
+//! * [`kv`] — a key-value store layered on the registers, and the one TCP
+//!   client, server host and loopback cluster (a bare register is a
+//!   one-key store).
 
 pub use safereg_checker as checker;
 pub use safereg_common as common;

@@ -194,19 +194,22 @@ fn mixed_protocol_deployment_over_tcp_and_sim_agree() {
         })
         .unwrap();
 
-    // TCP run.
-    use safereg::core::client::{BsrReader, BsrWriter};
-    let cluster = safereg::transport::LocalCluster::start(cfg, b"e2e").unwrap();
-    let mut wc = cluster.client(WriterId(0)).unwrap();
-    let mut writer = BsrWriter::new(WriterId(0), cfg);
-    wc.run_op(&mut writer.write(Value::from("agree"))).unwrap();
-    let mut rc = cluster.client(ReaderId(0)).unwrap();
-    let mut reader = BsrReader::new(ReaderId(0), cfg);
-    let mut op = reader.read();
-    let out = rc.run_op(&mut op).unwrap();
+    // TCP run: the same register as a one-key KV store.
+    use safereg::kv::{KvClient, KvMode, TcpKvCluster};
+    let cluster = TcpKvCluster::builder(KvMode::Replicated, b"e2e")
+        .quorum(cfg)
+        .start()
+        .unwrap();
+    let mut transport = cluster.transport();
+    let mut writer = KvClient::new(cfg, WriterId(0), ReaderId(0));
+    writer
+        .put(&mut transport, b"register", Value::from("agree"))
+        .unwrap();
+    let mut reader = KvClient::new(cfg, WriterId(1), ReaderId(0));
+    let (value, tag) = reader.get_with_tag(&mut transport, b"register").unwrap();
 
-    assert_eq!(out.read_value().unwrap(), &sim_read.0);
-    assert_eq!(out.tag(), sim_read.1);
+    assert_eq!(value, sim_read.0);
+    assert_eq!(tag, sim_read.1);
 }
 
 #[test]
